@@ -36,12 +36,15 @@ work runs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
+from repro.columnar import RecordBatch
 from repro.core.engine import EngineConfig, QueueAnalyticEngine
 from repro.core.reports import (
     citywide_proportions,
@@ -71,8 +74,8 @@ def _version() -> str:
         return __version__
 
 
-def _load_store(path_str: str) -> Optional[MdtLogStore]:
-    """Load a log CSV, or print a clear error and return None.
+def _input_path(path_str: str) -> Optional[Path]:
+    """The input CSV path, or None after printing a clear error.
 
     Subcommands taking an input CSV share this so a missing path yields
     a one-line message and a non-zero exit instead of a traceback.
@@ -86,7 +89,26 @@ def _load_store(path_str: str) -> Optional[MdtLogStore]:
             file=sys.stderr,
         )
         return None
-    return MdtLogStore.from_csv(path)
+    return path
+
+
+def _load_store(path_str: str) -> Optional[MdtLogStore]:
+    """Load a log CSV, or print a clear error and return None.
+
+    Malformed lines are skipped and counted in ``skipped_lines`` (see
+    :func:`_print_skipped`), never raised: one bad line in an operator
+    feed must not cost the whole day.
+    """
+    path = _input_path(path_str)
+    if path is None:
+        return None
+    return MdtLogStore.from_csv(path, on_error="skip")
+
+
+def _print_skipped(count: int, file=None) -> None:
+    """Report the malformed input lines a load skipped, if any."""
+    if count:
+        print(f"  ({count} malformed CSV lines skipped)", file=file)
 
 
 def _add_sim_args(parser: argparse.ArgumentParser) -> None:
@@ -187,46 +209,6 @@ def _close_tracer(writer) -> None:
     )
 
 
-def _wrap_workers(engine: QueueAnalyticEngine, args: argparse.Namespace):
-    """Wrap the engine in a ParallelEngineRunner when --workers asks for
-    one; with the default (serial) the engine is returned untouched."""
-    workers = getattr(args, "workers", 1) or 1
-    if workers <= 1:
-        return engine
-    from repro.parallel import ParallelEngineRunner
-
-    return ParallelEngineRunner(
-        engine, workers=workers, checkpointer=_stage_checkpointer(args)
-    )
-
-
-def _stage_checkpointer(args: argparse.Namespace):
-    """A CheckpointManager for parallel stage checkpoints, when the
-    subcommand was given --checkpoint-dir."""
-    directory = getattr(args, "checkpoint_dir", None)
-    if directory is None:
-        return None
-    from repro.resilience import CheckpointManager
-
-    return CheckpointManager(directory)
-
-
-def _print_parallel_stats(engine) -> None:
-    """One line per parallel stage (no-op for a plain serial engine)."""
-    stats = getattr(engine, "last_stats", None)
-    if not stats:
-        return
-    for stage, entry in stats.items():
-        mode = "pool" if entry["pool"] else "inline"
-        line = (
-            f"  [parallel] {stage}: {entry['shards']} shards in "
-            f"{entry['seconds']:.2f}s ({mode})"
-        )
-        if entry["failed"]:
-            line += f", {entry['failed']} degraded to serial"
-        print(line)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_config(args)
     output = simulate_day(config)
@@ -256,22 +238,25 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if tracer is None:
         return 2
     try:
-        workers = args.workers or 1
-        if workers > 1 or args.checkpoint_dir is not None:
-            # Stage checkpoints ride on the runner even in serial mode.
-            return _detect_parallel(args, workers, tracer)
         with tracer.trace("pipeline.batch", command="detect"):
             with tracer.span("stage.ingest", mode="csv") as span:
-                store = _load_store(args.input)
-                if store is None:
+                path = _input_path(args.input)
+                if path is None:
                     return 2
-                span.set(records=len(store))
-            bbox = _bbox_from_args(args, store)
+                batch = RecordBatch.from_csv(path, on_error="skip")
+                span.set(records=len(batch))
+            bbox = _bbox_from_args(args, zip(batch.lon, batch.lat))
             engine = _engine_for_bbox(bbox, args.coverage, tracer=tracer)
-            detection = engine.detect_spots(store)
+            if args.checkpoint_dir is None:
+                detection = engine.detect_spots(batch)
+            else:
+                detection = _detect_reusing_checkpoint(
+                    engine, batch, path, args.checkpoint_dir
+                )
             with tracer.span("stage.publish", mode="stdout") as span:
                 _print_detection(detection, args.top)
                 span.set(spots=len(detection.spots))
+        _print_skipped(batch.skipped_lines)
         return 0
     finally:
         _close_tracer(trace_writer)
@@ -287,47 +272,49 @@ def _print_detection(detection, top: int) -> None:
         )
 
 
-def _detect_parallel(
-    args: argparse.Namespace, workers: int, tracer=None
-) -> int:
-    """Tier 1 with chunked CSV ingest: the full day never sits in one
-    process; workers stream their own zone shard from disk."""
-    from repro.obs.tracer import NULL_TRACER
-    from repro.parallel import ParallelEngineRunner, scan_csv
+#: Payload kind of a tier-1 stage checkpoint.  The name is historical;
+#: it stays so directories written by earlier versions still resolve,
+#: and :class:`~repro.resilience.ServiceCheckpointer` skips it.
+_STAGE_KIND = "parallel-stage"
 
-    if tracer is None:
-        tracer = NULL_TRACER
-    path = Path(args.input)
-    if not path.is_file():
-        print(
-            f"error: input CSV not found: {path}\n"
-            "hint: generate one with 'taxiqueue simulate --output "
-            f"{path}'",
-            file=sys.stderr,
-        )
-        return 2
-    scan = scan_csv(path)
-    if args.bbox:
-        west, south, east, north = (float(x) for x in args.bbox.split(","))
-        bbox = BBox(west, south, east, north)
-    elif scan.bbox is not None:
-        bbox = scan.bbox.expanded(0.01)
-    else:
-        bbox = DEFAULT_CITY_BBOX
-    engine = _engine_for_bbox(bbox, args.coverage, tracer=tracer)
-    runner = ParallelEngineRunner(
-        engine, workers=workers, checkpointer=_stage_checkpointer(args)
+
+def _tier1_fingerprint(path: Path, engine: QueueAnalyticEngine) -> str:
+    """SHA-256 of the CSV's bytes plus every engine setting that shapes
+    tier 1, so any edit to the input (even a same-size one) misses."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    digest.update(repr((engine.config, engine.city_bbox)).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _detect_reusing_checkpoint(
+    engine: QueueAnalyticEngine, batch, path: Path, directory
+):
+    """Tier 1, reusing the spots a previous run over the same input
+    checkpointed in ``directory`` (see docs/resilience.md)."""
+    from repro.resilience import CheckpointManager
+
+    manager = CheckpointManager(directory)
+    fingerprint = _tier1_fingerprint(path, engine)
+    payload = manager.find(
+        lambda p: p.get("kind") == _STAGE_KIND
+        and p.get("stage") == "tier1"
+        and p.get("fingerprint") == fingerprint
     )
-    with tracer.trace("pipeline.batch", command="detect", workers=workers):
-        detection = runner.detect_spots_csv(path)
-        with tracer.span("stage.publish", mode="stdout") as span:
-            _print_detection(detection, args.top)
-            span.set(spots=len(detection.spots))
-    report = runner.last_cleaning_report
-    if report is not None and report.malformed_line:
-        print(f"  ({report.malformed_line} malformed CSV lines skipped)")
-    _print_parallel_stats(runner)
-    return 0
+    if payload is not None:
+        return payload["result"]
+    detection = engine.detect_spots(batch)
+    # The pickup events reference whole trajectories; a rerun prints
+    # only the spots, so the checkpoint keeps just those.
+    manager.save({
+        "kind": _STAGE_KIND,
+        "stage": "tier1",
+        "fingerprint": fingerprint,
+        "result": replace(detection, pickup_events=[]),
+    })
+    return detection
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -341,10 +328,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 if store is None:
                     return 2
                 span.set(records=len(store))
-            bbox = _bbox_from_args(args, store)
-            engine = _wrap_workers(
-                _engine_for_bbox(bbox, args.coverage, tracer=tracer), args
-            )
+            bbox = _bbox_from_args(args, _store_points(store))
+            engine = _engine_for_bbox(bbox, args.coverage, tracer=tracer)
             detection = engine.detect_spots(store)
             analyses = engine.disambiguate(store, detection)
             with tracer.span("stage.publish", mode="stdout") as span:
@@ -356,7 +341,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 span.set(spots=len(analyses))
     finally:
         _close_tracer(trace_writer)
-    _print_parallel_stats(engine)
+    _print_skipped(store.skipped_lines)
     if args.spot:
         analysis = analyses.get(args.spot)
         if analysis is None:
@@ -381,7 +366,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     store = _load_store(args.input)
     if store is None:
         return 2
-    bbox = _bbox_from_args(args, store)
+    bbox = _bbox_from_args(args, _store_points(store))
     engine = _engine_for_bbox(bbox, args.coverage)
     detection = engine.detect_spots(store)
     analyses = engine.disambiguate(store, detection)
@@ -404,6 +389,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         "features.csv", "report.html",
     ):
         print(f"  {name}")
+    _print_skipped(store.skipped_lines)
     return 0
 
 
@@ -494,7 +480,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if store is None:
             _close_tracer(trace_writer)
             return 2
-        bbox = _bbox_from_args(args, store)
+        _print_skipped(store.skipped_lines)
+        bbox = _bbox_from_args(args, _store_points(store))
         engine = _engine_for_bbox(bbox, args.coverage, tracer=tracer)
         grid = None
         source = args.input
@@ -532,13 +519,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         history_day_of_week=args.history_day,
         history_compact_interval_s=args.history_compact_interval,
     )
-    engine = _wrap_workers(engine, args)
     print(f"bootstrapping spots and thresholds from {source} ...")
-    service = QueueService.from_day(
-        store, engine, service_config, grid,
-        metrics=getattr(engine, "metrics", None),
-    )
-    _print_parallel_stats(engine)
+    service = QueueService.from_day(store, engine, service_config, grid)
     if service.resumed_from is not None:
         print(
             f"restored checkpoint from {args.checkpoint_dir}; resuming "
@@ -892,9 +874,6 @@ def _conformance_inputs(args: argparse.Namespace):
     after printing a usage error (exit 2 at the caller)."""
     from repro.conformance.matrix import csv_case, default_matrix
 
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return None
     if not 0.0 < args.kill_frac < 1.0:
         print("error: --kill-frac must be in (0, 1)", file=sys.stderr)
         return None
@@ -917,12 +896,12 @@ def _conformance_inputs(args: argparse.Namespace):
                 if args.seed_base is not None
                 else DEFAULT_SEED_BASE
             ),
-            workers=args.workers,
         )
         return cases, None, None
     store = _load_store(args.input)
     if store is None:
         return None
+    _print_skipped(store.skipped_lines, file=sys.stderr)
     bootstrap = None
     if args.bootstrap is not None:
         from repro.conformance.canonical import DayBootstrap
@@ -939,7 +918,6 @@ def _conformance_inputs(args: argparse.Namespace):
         Path(args.input).stem,
         min_pts=args.min_pts,
         coverage=args.coverage,
-        workers=args.workers if args.workers is not None else 2,
         disorder_window_s=args.disorder_window,
         kill_frac=args.kill_frac,
         checkpoint_every=args.checkpoint_every,
@@ -1099,14 +1077,18 @@ def cmd_conformance_report(args: argparse.Namespace) -> int:
     return 1 if any(r.get("divergent") for r in reports) else 0
 
 
-def _bbox_from_args(args: argparse.Namespace, store: MdtLogStore) -> BBox:
+def _store_points(store: MdtLogStore):
+    return ((r.lon, r.lat) for r in store.iter_records())
+
+
+def _bbox_from_args(args: argparse.Namespace, points) -> BBox:
+    """``--bbox`` when given, else the ``(lon, lat)`` points' bounding
+    box with a small margin (the default city bbox when empty)."""
     if args.bbox:
         west, south, east, north = (float(x) for x in args.bbox.split(","))
         return BBox(west, south, east, north)
     try:
-        return BBox.from_points(
-            (r.lon, r.lat) for r in store.iter_records()
-        ).expanded(0.01)
+        return BBox.from_points(points).expanded(0.01)
     except ValueError:
         return DEFAULT_CITY_BBOX
 
@@ -1127,11 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output", default="mdt_logs.csv", help="CSV output path")
     p_sim.set_defaults(func=cmd_simulate)
 
-    workers_help = (
-        "worker processes for the zone-sharded parallel pipeline "
-        "(default 1: serial, unchanged behaviour; see docs/parallel.md)"
-    )
-
     p_det = sub.add_parser("detect", help="detect queue spots from a log CSV")
     p_det.add_argument("input", help="MDT log CSV")
     p_det.add_argument("--coverage", type=float, default=1.0,
@@ -1140,11 +1117,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="city bbox 'west,south,east,north'")
     p_det.add_argument("--top", type=int, default=20,
                        help="how many spots to print")
-    p_det.add_argument("--workers", type=int, default=1, help=workers_help)
     p_det.add_argument(
         "--checkpoint-dir", default=None,
-        help="directory for pipeline stage checkpoints; a rerun over the "
-        "same input reuses completed stages (see docs/resilience.md)",
+        help="directory for the tier-1 stage checkpoint; a rerun over "
+        "the same CSV bytes and settings reuses the detected spots "
+        "(see docs/resilience.md)",
     )
     _add_trace_args(p_det)
     p_det.set_defaults(func=cmd_detect)
@@ -1155,7 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--bbox", default=None)
     p_ana.add_argument("--spot", default=None,
                        help="print the transition report of one spot id")
-    p_ana.add_argument("--workers", type=int, default=1, help=workers_help)
     _add_trace_args(p_ana)
     p_ana.set_defaults(func=cmd_analyze)
 
@@ -1198,7 +1174,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-seconds", type=float, default=None,
         help="stop after this many seconds (default: serve until Ctrl-C)",
     )
-    p_srv.add_argument("--workers", type=int, default=1, help=workers_help)
     p_srv.add_argument(
         "--checkpoint-dir", default=None,
         help="directory for periodic service checkpoints; on restart the "
@@ -1379,10 +1354,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--coverage", type=float, default=1.0,
             help="observed fleet fraction of --input days "
             "(default %(default)s)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="sharded-path worker count (default: varies per case)",
         )
         p.add_argument(
             "--disorder-window", type=float, default=120.0, metavar="S",

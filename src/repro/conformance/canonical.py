@@ -1,9 +1,9 @@
 """Canonical, comparable forms of every execution path's output.
 
-Two exact-equality classes exist (see ``docs/conformance.md``):
+Two output classes exist (see ``docs/conformance.md``):
 
-* the **batch class** — serial and ``--workers N`` sharded runs are
-  bit-for-bit identical, reduced by :func:`batch_snapshot`;
+* the **batch class** — the serial engine's output, reduced by
+  :func:`batch_snapshot` and checked against brute-force oracles;
 * the **streaming class** — ordered replay, kill/restart replay and
   buffered disordered replay converge to the same serving state,
   reduced by :func:`streaming_state`.

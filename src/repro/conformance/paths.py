@@ -3,7 +3,7 @@
 Each function here runs one path end to end and reduces the output to
 the canonical forms of :mod:`repro.conformance.canonical`:
 
-* :func:`run_serial` / :func:`run_parallel` — the batch class;
+* :func:`run_serial` — the batch class;
 * :func:`run_streaming` — ordered replay, optionally through a
   :class:`~repro.resilience.reorder.ReorderBuffer` and/or against a
   disordered copy of the stream;
@@ -70,22 +70,6 @@ def run_serial(
     """Both tiers on the in-process serial engine."""
     detection = engine.detect_spots(store)
     analyses = engine.disambiguate(store, detection, grid)
-    return BatchRun(detection, analyses, batch_snapshot(detection, analyses))
-
-
-def run_parallel(
-    engine: QueueAnalyticEngine,
-    store: MdtLogStore,
-    grid: TimeSlotGrid,
-    workers: int,
-    tracer=None,
-) -> BatchRun:
-    """Both tiers through the zone-sharded multiprocessing runner."""
-    from repro.parallel.runner import ParallelEngineRunner
-
-    runner = ParallelEngineRunner(engine, workers=workers, tracer=tracer)
-    detection = runner.detect_spots(store)
-    analyses = runner.disambiguate(store, detection, grid)
     return BatchRun(detection, analyses, batch_snapshot(detection, analyses))
 
 

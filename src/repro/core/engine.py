@@ -81,9 +81,8 @@ def analyze_spot(
 ) -> SpotAnalysis:
     """Tier-2 analysis of one spot: WTE -> features -> thresholds -> QCD.
 
-    The per-spot unit of work, shared by the serial engine loop and the
-    multiprocessing layer (``repro.parallel``) so both produce identical
-    labels for identical inputs.
+    The per-spot unit of work of :meth:`QueueAnalyticEngine.disambiguate`,
+    kept separate so each spot's tier 2 is one measurable step.
 
     Args:
         spot: the detected queue spot.

@@ -119,9 +119,8 @@ def cluster_zone(
 ) -> Tuple[List[Tuple[float, float, int, float]], int]:
     """DBSCAN one zone's pickup centroids.
 
-    The per-zone unit of work, shared by the serial pipeline and the
-    multiprocessing layer (``repro.parallel``) so both produce identical
-    clusters for identical inputs.
+    The per-zone unit of work of :func:`detect_from_centroids`, kept
+    separate so each zone's DBSCAN is one measurable step.
 
     Args:
         zone_lonlat: ``(n, 2)`` lon/lat of the zone's pickup centroids.
@@ -149,8 +148,7 @@ def assemble_spots(
     """Order raw ``(zone, lon, lat, size, radius)`` clusters into spots.
 
     Spots are sorted by descending pickup count (stable, so zone order
-    breaks ties) and assigned ids ``QS001, QS002, ...`` — the
-    deterministic merge both the serial and the parallel pipeline use.
+    breaks ties) and assigned ids ``QS001, QS002, ...``.
     """
     ordered = sorted(raw_spots, key=lambda item: -item[3])
     return [

@@ -26,10 +26,10 @@ buffer per trace and are handed to the sink only when the root span
 closes — trace-level sampling therefore keeps *complete* trees, never
 orphaned fragments.
 
-Worker processes do not share the tracer: they measure their own spans
-into plain dicts that travel back over the existing result-merge
-channel (see :mod:`repro.parallel.worker`) and are re-parented into
-the live trace with :meth:`Tracer.attach`.
+Work timed outside a span stack (the streaming replayer's per-window
+stage accounting, see :class:`~repro.service.replay.StreamReplayer`) is
+measured into plain dicts and re-parented into the live trace with
+:meth:`Tracer.attach`.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ def worker_span(
     attrs: Optional[Dict[str, Any]] = None,
     children: Optional[List[dict]] = None,
 ) -> dict:
-    """A process-local span measured outside the tracer.
+    """A span measured outside the tracer, as a plain dict.
 
-    Workers build these (plain picklable dicts) and ship them back in
-    their result dataclasses; the parent re-parents them into the
-    active trace with :meth:`Tracer.attach`.
+    Code that accumulates stage time across many small steps (the
+    replayer's window accounting) builds these and re-parents them into
+    the active trace with :meth:`Tracer.attach`.
     """
     span = {
         "name": name,
@@ -304,11 +304,11 @@ class Tracer:
     # -- externally measured spans -----------------------------------------------
 
     def attach(self, spans: Sequence[dict], parent=None) -> None:
-        """Re-parent worker-measured span dicts into the live trace.
+        """Re-parent externally measured span dicts into the live trace.
 
         Args:
             spans: :func:`worker_span` dicts (possibly with nested
-                ``children``) measured in another process.
+                ``children``) measured outside the span stack.
             parent: the open :class:`Span` to hang them under; defaults
                 to the innermost open span of this thread.
         """

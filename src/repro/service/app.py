@@ -137,16 +137,12 @@ class QueueService:
 
         Args:
             store: the day's MDT logs (simulated or loaded from CSV).
-            engine: a configured batch engine — or any engine-shaped
-                runner such as
-                :class:`~repro.parallel.runner.ParallelEngineRunner`;
-                runs tiers 1 and 2 once to obtain the spot set and
-                per-spot thresholds.
+            engine: a configured batch engine; runs tiers 1 and 2 once
+                to obtain the spot set and per-spot thresholds.
             config: serving knobs.
             grid: slot grid; defaults to the engine's daily default.
-            metrics: registry to record into; pass a runner's registry
-                so bootstrap parallelism stats surface at
-                ``/v1/metrics`` (one is created when omitted).
+            metrics: registry to record into (one is created when
+                omitted).
             tracer: optional :class:`repro.obs.Tracer`; the bootstrap
                 runs under one ``pipeline.bootstrap`` trace and the
                 replayer emits per-window ``stream.window`` traces.

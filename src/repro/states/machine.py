@@ -103,11 +103,6 @@ def _code_matrix() -> Tuple[bytes, ...]:
 TRANSITION_CODE_MATRIX: Tuple[bytes, ...] = _code_matrix()
 
 
-def is_valid_transition_code(current: int, nxt: int) -> bool:
-    """:func:`is_valid_transition` over integer state codes."""
-    return TRANSITION_CODE_MATRIX[current][nxt] == 1
-
-
 def validate_sequence(states: Sequence[TaxiState]) -> None:
     """Assert that a state sequence walks the canonical diagram.
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,29 @@ class TestMissingInput:
         assert "input CSV not found" in err
         assert "does_not_exist.csv" in err
         assert "Traceback" not in err
+
+
+class TestMalformedInput:
+    """A malformed line is skipped and counted, never a traceback."""
+
+    @pytest.fixture
+    def dirty_csv(self, tmp_path):
+        golden = Path(__file__).parent / "data" / "golden_day.csv"
+        path = tmp_path / "dirty.csv"
+        path.write_text(golden.read_text() + "garbage,line\n")
+        return path
+
+    def test_detect_skips_and_counts(self, dirty_csv, capsys):
+        assert main(["detect", str(dirty_csv)]) == 0
+        out = capsys.readouterr().out
+        assert "detected" in out
+        assert "(1 malformed CSV lines skipped)" in out
+
+    def test_analyze_skips_and_counts(self, dirty_csv, capsys):
+        assert main(["analyze", str(dirty_csv)]) == 0
+        out = capsys.readouterr().out
+        assert "Queue Type" in out
+        assert "(1 malformed CSV lines skipped)" in out
 
 
 class TestEndToEnd:
@@ -146,63 +170,6 @@ class TestEndToEnd:
             ]
         )
         assert code == 0
-
-
-class TestWorkersFlag:
-    """The --workers flag: parsing, output parity and clean errors."""
-
-    @pytest.fixture(scope="class")
-    def log_csv(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli_par") / "logs.csv"
-        code = main(
-            [
-                "simulate",
-                "--seed", "11",
-                "--fleet", "100",
-                "--spots", "6",
-                "--output", str(path),
-            ]
-        )
-        assert code == 0
-        return path
-
-    def test_workers_defaults_to_serial(self):
-        for command in ("detect", "analyze", "serve"):
-            args = build_parser().parse_args([command, "logs.csv"])
-            assert args.workers == 1
-
-    def test_detect_parallel_output_matches_serial(self, log_csv, capsys):
-        assert main(["detect", str(log_csv), "--coverage", "0.6"]) == 0
-        serial_out = capsys.readouterr().out
-        assert (
-            main(["detect", str(log_csv), "--coverage", "0.6",
-                  "--workers", "2"])
-            == 0
-        )
-        parallel_out = capsys.readouterr().out
-        spot_lines = [
-            line
-            for line in parallel_out.splitlines()
-            if "[parallel]" not in line and "malformed" not in line
-        ]
-        assert spot_lines == serial_out.splitlines()
-        assert "[parallel] tier1:" in parallel_out
-
-    def test_analyze_accepts_workers(self, log_csv, capsys):
-        code = main(
-            ["analyze", str(log_csv), "--coverage", "0.6", "--workers", "2"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Queue Type" in out
-        assert "[parallel]" in out
-
-    def test_detect_parallel_missing_csv_is_clean_error(self, capsys):
-        code = main(["detect", "nope.csv", "--workers", "2"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "input CSV not found" in err
-        assert "Traceback" not in err
 
 
 class TestResilienceFlags:

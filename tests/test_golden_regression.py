@@ -8,8 +8,8 @@ DBSCAN, W(r) assembly, WTE, features, thresholds, QCD — and demand
 byte-for-byte identical spots and labels, so *any* semantic drift in
 *any* stage fails loudly.
 
-The parallel variants additionally pin the headline guarantee of
-``repro.parallel``: N-worker output is bit-identical to serial output.
+The columnar CSV variant pins the ingest ``taxiqueue detect`` runs
+(CSV parsed straight into columns) to the same spots.
 
 Regenerate after intentional semantic changes with::
 
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.parallel import ParallelEngineRunner
+from repro.columnar import RecordBatch
 from repro.trace.log_store import MdtLogStore
 from tests._golden import golden_engine, pipeline_snapshot
 
@@ -77,19 +77,10 @@ def test_golden_serial(golden_store, expected):
     _assert_snapshot_equal(pipeline_snapshot(engine, golden_store), expected)
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_golden_parallel_matches_serial_bit_for_bit(
-    golden_store, expected, workers
-):
-    runner = ParallelEngineRunner(golden_engine(golden_store), workers=workers)
-    _assert_snapshot_equal(pipeline_snapshot(runner, golden_store), expected)
-
-
-def test_golden_parallel_csv_ingest(expected):
-    """The chunked-CSV path (what ``detect --workers`` runs) agrees too."""
-    store = MdtLogStore.from_csv(CSV_PATH, on_error="raise")
-    runner = ParallelEngineRunner(golden_engine(store), workers=2)
-    detection = runner.detect_spots_csv(CSV_PATH)
+def test_golden_csv_ingest(golden_store, expected):
+    """The columnar CSV path (what ``taxiqueue detect`` runs) agrees too."""
+    batch = RecordBatch.from_csv(CSV_PATH, on_error="skip")
+    detection = golden_engine(golden_store).detect_spots(batch)
     expected_spots = expected["spots"]
     actual_spots = [
         {
@@ -104,4 +95,4 @@ def test_golden_parallel_csv_ingest(expected):
     ]
     assert actual_spots == expected_spots
     assert detection.noise_count == expected["noise_count"]
-    assert runner.last_cleaning_report.malformed_line == 0
+    assert batch.skipped_lines == 0

@@ -1,23 +1,22 @@
 """Fuzz-ish CSV ingest tests: garbage in, accounting out — never a crash.
 
 A deployed feed delivers truncated lines, NaN coordinates, out-of-order
-timestamps and state codes nobody documented.  Every layer of the
-chunked ingest (record parsing, lenient store loads, :func:`scan_csv`,
-:func:`split_csv_by_zone`, and the parallel runner end to end) must
-either raise a clean ``ValueError`` (strict mode) or count the line in
-the cleaning report — and must never crash a worker.
+timestamps and state codes nobody documented.  Every layer of CSV
+ingest (record parsing, lenient store loads, and the columnar CSV path
+``taxiqueue detect`` runs, end to end) must either raise a clean
+``ValueError`` (strict mode) or count the line as skipped.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.columnar import RecordBatch
 from repro.core.engine import EngineConfig, QueueAnalyticEngine
 from repro.core.spots import SpotDetectionParams
 from repro.geo.bbox import BBox
 from repro.geo.point import LocalProjection
 from repro.geo.zones import four_zone_partition
-from repro.parallel import ParallelEngineRunner, scan_csv, split_csv_by_zone
 from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
 
@@ -116,109 +115,8 @@ class TestLenientStoreLoad:
         assert timestamps == sorted(timestamps)
 
 
-class TestScanCsv:
-    def test_counts_bbox_and_malformed(self, tmp_path):
-        path = tmp_path / "day.csv"
-        write_csv(
-            path,
-            [
-                row(lon=103.70, lat=1.25),
-                row(taxi="SH0002A", lon=103.90, lat=1.45),
-                row(lon="nan"),
-                "garbage",
-                "",  # blank lines are ignored, not malformed
-            ],
-        )
-        scan = scan_csv(path)
-        assert scan.rows == 2
-        assert scan.malformed_lines == 2
-        assert scan.taxis == 2
-        assert scan.bbox == BBox(103.70, 1.25, 103.90, 1.45)
-
-    def test_header_only_file(self, tmp_path):
-        path = tmp_path / "day.csv"
-        write_csv(path, [])
-        scan = scan_csv(path)
-        assert scan.rows == 0
-        assert scan.bbox is None
-
-    def test_bad_header_raises(self, tmp_path):
-        path = tmp_path / "day.csv"
-        path.write_text("lon,lat,whatever\n" + row() + "\n")
-        with pytest.raises(ValueError):
-            scan_csv(path)
-
-    def test_unknown_state_passes_structural_scan(self, tmp_path):
-        # scan_csv is structural only; full parsing happens in workers.
-        path = tmp_path / "day.csv"
-        write_csv(path, [row(state="WARP")])
-        assert scan_csv(path).rows == 1
-
-
-class TestSplitCsvByZone:
-    def test_taxi_never_splits_and_rows_conserved(self, tmp_path):
-        lines = []
-        for i, (lon, lat) in enumerate(
-            [(103.65, 1.25), (103.95, 1.25), (103.65, 1.45), (103.95, 1.45)]
-        ):
-            for m in range(5):
-                lines.append(
-                    row(
-                        time=f"01/08/2008 08:{m:02d}:0{i}",
-                        taxi=f"T{i:03d}",
-                        lon=lon,
-                        lat=lat,
-                    )
-                )
-        path = tmp_path / "day.csv"
-        write_csv(path, lines)
-        split = split_csv_by_zone(
-            path,
-            four_zone_partition(CITY_BBOX),
-            target_shards=8,
-            out_dir=tmp_path / "shards",
-        )
-        assert split.rows == 20
-        assert split.malformed_lines == 0
-        owners = {}
-        total = 0
-        for shard in split.shards:
-            store = MdtLogStore.from_csv(shard.path, on_error="raise")
-            total += len(store)
-            for taxi_id in store.taxi_ids:
-                assert taxi_id not in owners, "taxi split across shards"
-                owners[taxi_id] = shard
-                assert len(store.records_of(taxi_id)) == 5
-        assert total == 20
-        assert len(owners) == 4
-
-    def test_malformed_lines_excluded_from_shards(self, tmp_path):
-        path = tmp_path / "day.csv"
-        write_csv(path, [row(), "truncated,line", row(lat="nan")])
-        split = split_csv_by_zone(
-            path,
-            four_zone_partition(CITY_BBOX),
-            target_shards=4,
-            out_dir=tmp_path / "shards",
-        )
-        assert split.rows == 1
-        assert split.malformed_lines == 2
-        assert sum(shard.rows for shard in split.shards) == 1
-
-    def test_bad_target_shards_rejected(self, tmp_path):
-        path = tmp_path / "day.csv"
-        write_csv(path, [row()])
-        with pytest.raises(ValueError):
-            split_csv_by_zone(
-                path,
-                four_zone_partition(CITY_BBOX),
-                target_shards=0,
-                out_dir=tmp_path / "shards",
-            )
-
-
 class TestCorruptedCsvEndToEnd:
-    """A corrupted day through ``detect_spots_csv`` with real workers."""
+    """A corrupted day through the columnar CSV path of ``detect``."""
 
     def _corrupted_day(self, tmp_path):
         lines = []
@@ -252,28 +150,17 @@ class TestCorruptedCsvEndToEnd:
 
     def test_never_crashes_and_counts_garbage(self, tmp_path):
         path = self._corrupted_day(tmp_path)
-        serial = make_engine()
-        expected = serial.detect_spots(
+        expected = make_engine().detect_spots(
             MdtLogStore.from_csv(path, on_error="skip")
         )
 
-        runner = ParallelEngineRunner(make_engine(), workers=2)
-        detection = runner.detect_spots_csv(path)
+        batch = RecordBatch.from_csv(path, on_error="skip")
+        detection = make_engine().detect_spots(batch)
         assert len(expected.spots) == 2  # the garbage didn't kill clustering
         assert detection.spots == expected.spots
         assert detection.noise_count == expected.noise_count
-        report = runner.last_cleaning_report
-        assert report is not None
-        # Truncated + NaN are caught at split level; the unknown state
-        # and bad timestamp survive the structural scan but fail full
-        # parsing inside a worker.  All four are accounted, none raised.
-        assert report.malformed_line == 4
-        assert runner.last_stats["tier1"]["failed"] == 0
-
-    def test_workers_one_csv_path_counts_garbage_too(self, tmp_path):
-        path = self._corrupted_day(tmp_path)
-        runner = ParallelEngineRunner(make_engine(), workers=1)
-        detection = runner.detect_spots_csv(path)
-        assert runner.last_cleaning_report.malformed_line == 4
+        # Truncated, NaN, unknown-state and bad-timestamp lines are all
+        # accounted, none raised.
+        assert batch.skipped_lines == 4
         # One pickup event per taxi survived the garbage.
         assert len(detection.pickup_events) == 4

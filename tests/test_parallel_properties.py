@@ -1,111 +1,20 @@
-"""Property-based tests: parallel/serial equivalence and WTE invariants.
+"""Property-based tests of the WTE wait-interval invariants.
 
-Hypothesis generates random small days and random worker counts; the
-parallel runner must agree with the serial engine on *every* one of
-them, not just on the curated fixtures.  The WTE section pins the two
-wait-interval invariants the parallel fan-out relies on (intervals are
-never negative and never span a PAYMENT reset), for arbitrary state
-sequences.
+For arbitrary state sequences, wait intervals are never negative, never
+span a PAYMENT reset, and start and end on records of the segment.
 """
 
 from __future__ import annotations
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import EngineConfig, QueueAnalyticEngine
-from repro.core.spots import SpotDetectionParams
 from repro.core.wte import extract_wait_event
-from repro.geo.bbox import BBox
-from repro.geo.point import LocalProjection
-from repro.geo.zones import four_zone_partition
-from repro.parallel import ParallelEngineRunner
 from repro.states.states import TaxiState
-from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
 from repro.trace.trajectory import Trajectory
 
-#: Fixed city for the generated days (spans all four zones).
-CITY_BBOX = BBox(103.60, 1.20, 104.00, 1.50)
-
 DAY0 = 1_200_000_000.0  # an arbitrary fixed day origin
-
-
-def make_engine() -> QueueAnalyticEngine:
-    lon, lat = CITY_BBOX.center
-    return QueueAnalyticEngine(
-        zones=four_zone_partition(CITY_BBOX),
-        projection=LocalProjection(lon, lat),
-        config=EngineConfig(
-            # Tiny days: cluster aggressively so tier 1 finds spots.
-            detection=SpotDetectionParams(min_pts=2, eps_m=500.0)
-        ),
-        city_bbox=CITY_BBOX,
-    )
-
-
-@st.composite
-def stores(draw) -> MdtLogStore:
-    """A random multi-taxi day inside the fixed city.
-
-    Per-taxi timestamps increase strictly, and coordinates span the full
-    bbox so most examples occupy several zones (exercising the sharded
-    path, not just the serial shortcut).
-    """
-    n_taxis = draw(st.integers(min_value=2, max_value=5))
-    records = []
-    for i in range(n_taxis):
-        n = draw(st.integers(min_value=0, max_value=20))
-        ts = DAY0 + draw(st.floats(min_value=0, max_value=3600))
-        for _ in range(n):
-            ts += draw(st.floats(min_value=1.0, max_value=900.0))
-            records.append(
-                MdtRecord(
-                    ts=ts,
-                    taxi_id=f"T{i:03d}",
-                    lon=draw(
-                        st.floats(min_value=103.60, max_value=104.00)
-                    ),
-                    lat=draw(st.floats(min_value=1.20, max_value=1.50)),
-                    speed=draw(st.floats(min_value=0, max_value=90)),
-                    state=draw(st.sampled_from(list(TaxiState))),
-                )
-            )
-    return MdtLogStore(records)
-
-
-class TestParallelSerialEquivalence:
-    @given(store=stores(), workers=st.integers(min_value=2, max_value=4))
-    @settings(max_examples=12, deadline=None)
-    def test_detect_spots_matches_serial(self, store, workers):
-        serial = make_engine().detect_spots(store)
-        runner = ParallelEngineRunner(make_engine(), workers=workers)
-        parallel = runner.detect_spots(store)
-        assert parallel.spots == serial.spots
-        assert parallel.noise_count == serial.noise_count
-        assert parallel.per_zone_counts == serial.per_zone_counts
-        assert len(parallel.pickup_events) == len(serial.pickup_events)
-
-    @given(store=stores())
-    @settings(max_examples=6, deadline=None)
-    def test_full_pipeline_matches_serial(self, store):
-        # Tier 2 needs the day's time span; an empty day has none (the
-        # serial engine raises on it too, identically).
-        assume(len(store) > 0)
-        engine = make_engine()
-        detection = engine.detect_spots(store)
-        expected = engine.disambiguate(store, detection)
-
-        runner = ParallelEngineRunner(make_engine(), workers=2)
-        parallel_detection = runner.detect_spots(store)
-        assert parallel_detection.spots == detection.spots
-        actual = runner.disambiguate(store, parallel_detection)
-        assert actual.keys() == expected.keys()
-        for spot_id in expected:
-            assert actual[spot_id] == expected[spot_id], spot_id
-
-
-# -- WTE invariants -----------------------------------------------------------
 
 
 @st.composite

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.parallel.runner import ParallelEngineRunner
 from repro.resilience import (
     ChaosStream,
     CheckpointManager,
@@ -263,66 +262,79 @@ class TestGoldenCrashRecovery:
 
 
 class TestParallelStageCheckpoints:
-    def test_tier1_rerun_reuses_checkpoint(self, tmp_path, small_day):
-        def run(manager):
-            from repro.core.engine import EngineConfig, QueueAnalyticEngine
+    """``taxiqueue detect --checkpoint-dir``: tier-1 stage reuse.
 
-            city = small_day.city
-            engine = QueueAnalyticEngine(
-                zones=city.zones,
-                projection=city.projection,
-                config=EngineConfig(
-                    observed_fraction=small_day.config.observed_fraction
-                ),
-                city_bbox=city.bbox,
-                inaccessible=city.water,
-            )
-            runner = ParallelEngineRunner(
-                engine, workers=0, checkpointer=manager
-            )
-            detection = runner.detect_spots(small_day.store)
-            analyses = runner.disambiguate(small_day.store, detection)
-            return runner, detection, analyses
+    The payload kind is still ``"parallel-stage"`` so directories
+    written by earlier versions keep resolving.
+    """
 
-        manager = CheckpointManager(tmp_path, keep=10)
-        first_runner, detection1, analyses1 = run(manager)
-        snap1 = first_runner.metrics.snapshot()["counters"]
-        assert snap1["parallel.tier1.checkpoint_saved"] == 1
-        assert snap1["parallel.tier2.checkpoint_saved"] == 1
-        assert "parallel.tier1.checkpoint_reused" not in snap1
+    @pytest.fixture
+    def day_csv(self, tmp_path):
+        path = tmp_path / "day.csv"
+        path.write_bytes((DATA_DIR / "golden_day.csv").read_bytes())
+        return path
 
-        second_runner, detection2, analyses2 = run(manager)
-        snap2 = second_runner.metrics.snapshot()["counters"]
-        assert snap2["parallel.tier1.checkpoint_reused"] == 1
-        assert snap2["parallel.tier2.checkpoint_reused"] == 1
-        assert "parallel.tier1.checkpoint_saved" not in snap2
-        assert detection2.spots == detection1.spots
-        assert detection2.noise_count == detection1.noise_count
-        assert set(analyses2) == set(analyses1)
-        for spot_id, analysis in analyses1.items():
-            assert analyses2[spot_id].thresholds == analysis.thresholds
-            assert analyses2[spot_id].labels == analysis.labels
+    @pytest.fixture
+    def tier1_runs(self, monkeypatch):
+        """Counts real tier-1 computations (checkpoint hits skip them)."""
+        from repro.core.engine import QueueAnalyticEngine
 
-    def test_no_checkpointer_recomputes(self, small_engine, small_day):
-        runner = ParallelEngineRunner(small_engine, workers=0)
-        runner.detect_spots(small_day.store)
-        counters = runner.metrics.snapshot()["counters"]
-        assert "parallel.tier1.checkpoint_saved" not in counters
+        calls = []
+        detect = QueueAnalyticEngine.detect_spots
 
-    def test_changed_input_misses_checkpoint(self, tmp_path, small_engine,
-                                             small_day):
-        manager = CheckpointManager(tmp_path, keep=10)
-        runner = ParallelEngineRunner(
-            small_engine, workers=0, checkpointer=manager
-        )
-        runner.detect_spots(small_day.store)
-        # A different store must not hit the tier-1 checkpoint.
-        from repro.trace.log_store import MdtLogStore as _Store
+        def counting(engine, store):
+            calls.append(1)
+            return detect(engine, store)
 
-        sub = _Store(
-            list(small_day.store.iter_records())[: len(small_day.store) // 2]
-        )
-        runner.detect_spots(sub)
-        counters = runner.metrics.snapshot()["counters"]
-        assert counters["parallel.tier1.checkpoint_saved"] == 2
-        assert "parallel.tier1.checkpoint_reused" not in counters
+        monkeypatch.setattr(QueueAnalyticEngine, "detect_spots", counting)
+        return calls
+
+    @staticmethod
+    def detect(capsys, path, *extra):
+        from repro.cli import main
+
+        assert main(["detect", str(path), *extra]) == 0
+        return capsys.readouterr().out
+
+    def test_tier1_rerun_reuses_checkpoint(
+        self, tmp_path, capsys, day_csv, tier1_runs
+    ):
+        ckpt = ["--checkpoint-dir", str(tmp_path / "ckpt")]
+        first = self.detect(capsys, day_csv, *ckpt)
+        assert len(tier1_runs) == 1
+        assert len(CheckpointManager(tmp_path / "ckpt").paths()) == 1
+        second = self.detect(capsys, day_csv, *ckpt)
+        assert len(tier1_runs) == 1
+        assert len(CheckpointManager(tmp_path / "ckpt").paths()) == 1
+        assert second == first == self.detect(capsys, day_csv)
+
+    def test_no_checkpointer_recomputes(self, capsys, day_csv, tier1_runs):
+        self.detect(capsys, day_csv)
+        self.detect(capsys, day_csv)
+        assert len(tier1_runs) == 2
+
+    def test_changed_input_misses_checkpoint(
+        self, tmp_path, capsys, day_csv, tier1_runs
+    ):
+        ckpt = ["--checkpoint-dir", str(tmp_path / "ckpt")]
+        original = self.detect(capsys, day_csv, *ckpt)
+        # A same-size edit: only the bytes change, not the file length.
+        size = day_csv.stat().st_size
+        lines = day_csv.read_text().splitlines(keepends=True)
+        day_csv.write_text("".join(
+            line.replace(",0.0,", ",30.,") if i % 2 else line
+            for i, line in enumerate(lines)
+        ))
+        assert day_csv.stat().st_size == size
+        edited = self.detect(capsys, day_csv, *ckpt)
+        assert len(tier1_runs) == 2
+        assert edited != original
+        assert edited == self.detect(capsys, day_csv)
+
+    def test_changed_settings_miss_checkpoint(
+        self, tmp_path, capsys, day_csv, tier1_runs
+    ):
+        ckpt = ["--checkpoint-dir", str(tmp_path / "ckpt")]
+        self.detect(capsys, day_csv, *ckpt)
+        self.detect(capsys, day_csv, *ckpt, "--coverage", "0.6")
+        assert len(tier1_runs) == 2
