@@ -24,16 +24,11 @@ the columnar pipeline's outputs are byte-identical to the row path's.
 from __future__ import annotations
 
 from array import array
-from math import isfinite
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.states.states import STATES_BY_CODE, STATE_CODES, parse_state
-from repro.trace.record import (
-    MdtRecord,
-    format_timestamp,
-    parse_timestamp,
-)
+from repro.states.states import STATES_BY_CODE, STATE_CODES
+from repro.trace.record import MdtRecord, parse_csv_lines
 
 #: Column typecodes, in field order (ts, lon, lat, speed, state, taxi).
 _FLOAT_TYPECODE = "d"
@@ -293,23 +288,10 @@ class RecordBatch:
     def from_csv(cls, path, on_error: str = "raise") -> "RecordBatch":
         """Parse a log CSV straight into columns (no record objects).
 
-        Field validation matches :meth:`MdtRecord.from_csv_row` exactly
-        — arity, empty taxi id, non-numeric or non-finite values, bad
-        timestamps (including finite-parse/non-finite-POSIX ones) and
-        unknown states are all malformed — so the malformed-line
-        accounting is identical to the row path's.  Repeated timestamp
-        and state texts hit small memo caches, which is most of the
-        ingest speedup: ``strptime`` runs once per distinct text.
-
-        Args:
-            path: the CSV file.
-            on_error: ``"raise"`` (default) fails on the first malformed
-                line; ``"skip"`` drops malformed lines and records the
-                count in :attr:`skipped_lines`.
-
-        Raises:
-            ValueError: on a bad header, on a malformed line in raise
-                mode, or for an unknown ``on_error`` value.
+        Arguments and errors are those of :meth:`MdtLogStore.from_csv
+        <repro.trace.log_store.MdtLogStore.from_csv>`, and so is the line
+        parser (:func:`~repro.trace.record.parse_csv_lines`): both
+        readers accept and reject exactly the same lines.
         """
         if on_error not in ("raise", "skip"):
             raise ValueError("on_error must be 'raise' or 'skip'")
@@ -319,7 +301,7 @@ class RecordBatch:
             header = fh.readline()
             if header.strip() != MdtRecord.CSV_HEADER:
                 raise ValueError(f"unexpected CSV header: {header!r}")
-            for fields in _parse_csv_lines(fh, on_error):
+            for fields in parse_csv_lines(fh, on_error):
                 if fields is None:
                     batch.skipped_lines += 1
                 else:
@@ -331,55 +313,6 @@ class RecordBatch:
         path = Path(path)
         with path.open("w", encoding="utf-8") as fh:
             fh.write(MdtRecord.CSV_HEADER + "\n")
-            fh.write(self.to_csv_body())
+            for record in self.iter_rows():
+                fh.write(record.to_csv_row() + "\n")
 
-    def to_csv_body(self) -> str:
-        """The CSV rows (no header), formatted like ``to_csv_row``."""
-        table = self.taxi_table
-        lines = []
-        for i in range(len(self)):
-            lines.append(
-                f"{format_timestamp(self.ts[i])},{table[self.taxi[i]]},"
-                f"{self.lon[i]:.6f},{self.lat[i]:.6f},{self.speed[i]:.1f},"
-                f"{STATES_BY_CODE[self.state[i]].value}\n"
-            )
-        return "".join(lines)
-
-
-def _parse_csv_lines(
-    lines: Iterable[str], on_error: str
-) -> Iterator[Optional[Tuple[float, str, float, float, float, int]]]:
-    """Parse CSV lines into ``append_fields`` tuples, None per skip."""
-    ts_cache: Dict[str, float] = {}
-    state_cache: Dict[str, int] = {}
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 6:
-                raise ValueError(
-                    f"expected 6 fields, got {len(parts)}: {line!r}"
-                )
-            ts_text, taxi_id, lon_text, lat_text, speed_text, state = parts
-            lon = float(lon_text)
-            lat = float(lat_text)
-            speed = float(speed_text)
-            if not (isfinite(lon) and isfinite(lat) and isfinite(speed)):
-                raise ValueError(f"non-finite coordinate or speed: {line!r}")
-            if not taxi_id:
-                raise ValueError(f"empty taxi id: {line!r}")
-            ts = ts_cache.get(ts_text)
-            if ts is None:
-                ts = parse_timestamp(ts_text)
-                ts_cache[ts_text] = ts
-            code = state_cache.get(state)
-            if code is None:
-                code = STATE_CODES[parse_state(state)]
-                state_cache[state] = code
-        except ValueError:
-            if on_error == "raise":
-                raise
-            yield None
-            continue
-        yield (ts, taxi_id, lon, lat, speed, code)

@@ -31,11 +31,12 @@ from repro.core.spots import (
     pickup_centroids,
 )
 from repro.core.thresholds import (
+    DEFAULT_STREET_JOB_RATIO,
     QcdThresholds,
     ThresholdPolicy,
     derive_thresholds,
     derive_thresholds_from_features,
-    zone_street_job_ratio,
+    pooled_street_job_ratio,
 )
 from repro.core.types import QueueSpot, SlotFeatures, SlotLabel, TimeSlotGrid
 from repro.core.wte import WaitEvent, extract_wait_times
@@ -44,11 +45,7 @@ from repro.geo.point import LocalProjection
 from repro.geo.zones import ZonePartition
 from repro.trace.cleaning import CleaningReport, clean_batch, clean_store
 from repro.trace.log_store import MdtLogStore
-
-
-#: Fallback street-job ratio when a spot's zone has no trajectories to
-#: estimate one from (the paper's citywide figure, section 6.2.1).
-DEFAULT_STREET_JOB_RATIO = 0.84
+from repro.trace.trajectory import Trajectory
 
 
 @dataclass
@@ -208,11 +205,9 @@ class QueueAnalyticEngine:
 
         Accepts an :class:`MdtLogStore` or a
         :class:`~repro.columnar.RecordBatch`; either way the tier runs
-        on the columnar data plane — cleaning as column masks, PEA as a
-        column cursor — with rows materialized only at the pickup-event
-        boundary.  Outputs are byte-identical to the historical
-        row-at-a-time path (pinned by the conformance matrix and the
-        golden fixture).
+        on the columnar data plane — the cleaning and PEA kernels over
+        column slices — with rows materialized only at the pickup-event
+        boundary.
         """
         if isinstance(store, RecordBatch):
             batch = store
@@ -259,9 +254,11 @@ class QueueAnalyticEngine:
 
         Args:
             store: the short-term dataset (typically one day).
-            detection: tier-1 output (spots + pickup events).  When the
-                detection ran on a different store, events are re-extracted
-                from this one.
+            detection: tier-1 output (spots + pickup events).  Its
+                events are used as they are; only when it carries none
+                (``pickup_events=[]``, as the deployment scheduler passes
+                for a detection run on other days) are they extracted
+                from this store.
             grid: time-slot grid; defaults to one day of 30-minute slots
                 aligned to the store's first midnight.
 
@@ -324,8 +321,8 @@ class QueueAnalyticEngine:
         this keeps job segmentation whole-trajectory while still giving
         zone-level ratios.
         """
-        zone_stores: Dict[str, MdtLogStore] = {
-            zone.name: MdtLogStore() for zone in self.zones
+        homes: Dict[str, List[Trajectory]] = {
+            zone.name: [] for zone in self.zones
         }
         for trajectory in store.iter_trajectories():
             if len(trajectory) == 0:
@@ -335,9 +332,8 @@ class QueueAnalyticEngine:
             for record in trajectory.records[::step]:
                 name = self.zones.classify_or_nearest(record.lon, record.lat)
                 counts[name] = counts.get(name, 0) + 1
-            home = max(counts, key=counts.get)
-            zone_stores[home].extend(trajectory.records)
+            homes[max(counts, key=counts.get)].append(trajectory)
         return {
-            name: zone_street_job_ratio(zone_store)
-            for name, zone_store in zone_stores.items()
+            name: pooled_street_job_ratio(trajectories)
+            for name, trajectories in homes.items()
         }

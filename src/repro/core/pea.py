@@ -24,28 +24,35 @@ DESIGN.md: the candidate state is fully reset after a keep decision (the
 paper resets it only on the discard paths, which would leak state), and a
 candidate still open at the end of the trajectory is finalized with the
 same constraints (the paper leaves end-of-input unspecified).
+
+:func:`pickup_spans` (the scan) and :func:`state_rejection` (the three
+constraints) are the one implementation of each, over plain speed and
+state-code sequences.  The row adapter passes record fields, the column
+adapter column slices, and the streaming operator
+(:mod:`repro.stream.pea_stream`) judges each candidate it closes with
+:func:`state_rejection`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.columnar import RecordBatch
 from repro.states.states import (
     STATE_CODES,
     TaxiState,
     OCCUPIED_CODES,
-    OCCUPIED_STATES,
     UNOCCUPIED_CODES,
-    UNOCCUPIED_STATES,
     NON_OPERATIONAL_CODES,
-    NON_OPERATIONAL_STATES,
 )
 from repro.trace.trajectory import SubTrajectory, Trajectory
 
 #: The paper's speed threshold eta_sp: 10 km/h (section 6.1.2).
 DEFAULT_SPEED_THRESHOLD_KMH = 10.0
+
+_FREE = STATE_CODES[TaxiState.FREE]
+_ONCALL = STATE_CODES[TaxiState.ONCALL]
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,97 @@ class PeaStats:
     rejected_alight: int = 0
     rejected_oncall_leave: int = 0
     rejected_no_transition: int = 0
+
+
+def state_rejection(
+    state: Sequence[int], start: int, end: int
+) -> Optional[str]:
+    """The section-4.2 constraint that rejects candidate ``R(start, end)``.
+
+    Args:
+        state: state codes (see :data:`~repro.states.states.
+            STATES_BY_CODE`); the candidate spans ``state[start..end]``.
+
+    Returns:
+        The :class:`PeaStats` counter of the violated constraint —
+        ``"rejected_alight"``, ``"rejected_oncall_leave"`` or
+        ``"rejected_no_transition"`` — or None when the candidate is a
+        genuine pickup.
+    """
+    first = state[start]
+    last = state[end]
+    if first in OCCUPIED_CODES and last in UNOCCUPIED_CODES:
+        return "rejected_alight"
+    if first == _FREE and last == _ONCALL:
+        return "rejected_oncall_leave"
+    for j in range(start + 1, end + 1):
+        if state[j] != first:
+            return None
+    return "rejected_no_transition"
+
+
+def pickup_spans(
+    speed: Sequence[float],
+    state: Sequence[int],
+    speed_threshold_kmh: float = DEFAULT_SPEED_THRESHOLD_KMH,
+    apply_state_filters: bool = True,
+) -> Tuple[List[Tuple[int, int]], PeaStats]:
+    """Algorithm 1 over one taxi's time-ordered speeds and state codes.
+
+    Args:
+        speed: speeds in km/h.
+        state: state codes, aligned with ``speed``.
+        speed_threshold_kmh: eta_sp; records at or below it are low-speed.
+        apply_state_filters: disable to ablate the three state-transition
+            constraints (bench ``ablation_state_filters``).
+
+    Returns:
+        ``(spans, stats)``: the inclusive ``(start, end)`` index spans of
+        the kept pickup events in temporal order, and the run's
+        :class:`PeaStats`.
+    """
+    if speed_threshold_kmh <= 0:
+        raise ValueError("speed threshold must be positive")
+    candidates: List[Tuple[int, int]] = []
+    phi1 = False
+    phi2 = False
+    start = -1  # index of p_{i-1} when the candidate opened
+    for i, (sp, code) in enumerate(zip(speed, state)):
+        if code in NON_OPERATIONAL_CODES:
+            # TAG1: drop any open candidate and restart the scan.
+            phi1 = False
+            phi2 = False
+            continue
+        if sp <= speed_threshold_kmh:
+            if not phi1:
+                phi1 = True
+            elif not phi2:
+                start = i - 1
+                phi2 = True
+            # with phi1 and phi2 the record simply extends the candidate
+        else:
+            if phi2:
+                candidates.append((start, i - 1))
+            phi1 = False
+            phi2 = False
+    if phi2:
+        candidates.append((start, len(state) - 1))
+
+    spans: List[Tuple[int, int]] = []
+    rejected = {
+        "rejected_alight": 0,
+        "rejected_oncall_leave": 0,
+        "rejected_no_transition": 0,
+    }
+    for s, e in candidates:
+        reason = state_rejection(state, s, e) if apply_state_filters else None
+        if reason is None:
+            spans.append((s, e))
+        else:
+            rejected[reason] += 1
+    return spans, PeaStats(
+        candidates=len(candidates), kept=len(spans), **rejected
+    )
 
 
 def extract_pickup_events(
@@ -86,167 +184,16 @@ def extract_pickup_events_with_stats(
     trajectory: Trajectory,
     speed_threshold_kmh: float = DEFAULT_SPEED_THRESHOLD_KMH,
     apply_state_filters: bool = True,
-) -> tuple:
-    """Like :func:`extract_pickup_events` but also returns :class:`PeaStats`."""
-    if speed_threshold_kmh <= 0:
-        raise ValueError("speed threshold must be positive")
-
-    omega: List[SubTrajectory] = []
-    candidates = 0
-    rejected_alight = 0
-    rejected_oncall_leave = 0
-    rejected_no_transition = 0
-
-    phi1 = False
-    phi2 = False
-    start_idx = -1  # index of p_{i-1} when the candidate opened
-
-    def finalize(end_idx: int) -> None:
-        """Apply the section-4.2 constraints to R_k = R(start_idx, end_idx)."""
-        nonlocal candidates, rejected_alight, rejected_oncall_leave
-        nonlocal rejected_no_transition
-        candidates += 1
-        sub = trajectory.sub(start_idx, end_idx)
-        if apply_state_filters:
-            first_state = sub.first.state
-            last_state = sub.last.state
-            if first_state in OCCUPIED_STATES and last_state in UNOCCUPIED_STATES:
-                rejected_alight += 1
-                return
-            if first_state is TaxiState.FREE and last_state is TaxiState.ONCALL:
-                rejected_oncall_leave += 1
-                return
-            states = sub.states()
-            if all(state is states[0] for state in states):
-                rejected_no_transition += 1
-                return
-        omega.append(sub)
-
-    records = trajectory.records
-    for i, record in enumerate(records):
-        if record.state in NON_OPERATIONAL_STATES:
-            # TAG1: drop any open candidate and restart the scan.
-            phi1 = False
-            phi2 = False
-            continue
-        low = record.speed <= speed_threshold_kmh
-        if low:
-            if not phi1:
-                phi1 = True
-            elif not phi2:
-                start_idx = i - 1
-                phi2 = True
-            # with phi1 and phi2 the record simply extends the candidate
-        else:
-            if phi2:
-                finalize(i - 1)
-            phi1 = False
-            phi2 = False
-    if phi2:
-        finalize(len(records) - 1)
-
-    stats = PeaStats(
-        candidates=candidates,
-        kept=len(omega),
-        rejected_alight=rejected_alight,
-        rejected_oncall_leave=rejected_oncall_leave,
-        rejected_no_transition=rejected_no_transition,
-    )
-    return omega, stats
-
-
-def extract_pickup_events_from_columns(
-    taxi_id: str,
-    batch: RecordBatch,
-    speed_threshold_kmh: float = DEFAULT_SPEED_THRESHOLD_KMH,
-    apply_state_filters: bool = True,
 ) -> Tuple[List[SubTrajectory], PeaStats]:
-    """Algorithm 1 as a cursor over one taxi's columns.
-
-    The scan and the section-4.2 constraints run on the speed and
-    state-code columns alone; a :class:`Trajectory` is materialized
-    once per taxi — and only for taxis that keep at least one event —
-    so rejected candidates and event-free taxis never allocate record
-    objects.  Events and :class:`PeaStats` are identical to
-    :func:`extract_pickup_events` over the same rows (pinned by parity
-    tests and the conformance matrix).
-
-    Args:
-        taxi_id: the taxi the rows belong to.
-        batch: the taxi's cleaned rows, time-ordered.
-    """
-    if speed_threshold_kmh <= 0:
-        raise ValueError("speed threshold must be positive")
-    speed_col, state_col = batch.speed, batch.state
-    free_code = STATE_CODES[TaxiState.FREE]
-    oncall_code = STATE_CODES[TaxiState.ONCALL]
-
-    kept: List[Tuple[int, int]] = []
-    candidates = 0
-    rejected_alight = 0
-    rejected_oncall_leave = 0
-    rejected_no_transition = 0
-
-    def finalize(start_idx: int, end_idx: int) -> None:
-        nonlocal candidates, rejected_alight, rejected_oncall_leave
-        nonlocal rejected_no_transition
-        candidates += 1
-        if apply_state_filters:
-            first_code = state_col[start_idx]
-            last_code = state_col[end_idx]
-            if first_code in OCCUPIED_CODES and last_code in UNOCCUPIED_CODES:
-                rejected_alight += 1
-                return
-            if first_code == free_code and last_code == oncall_code:
-                rejected_oncall_leave += 1
-                return
-            if all(
-                state_col[j] == first_code
-                for j in range(start_idx + 1, end_idx + 1)
-            ):
-                rejected_no_transition += 1
-                return
-        kept.append((start_idx, end_idx))
-
-    phi1 = False
-    phi2 = False
-    start_idx = -1
-    n = len(batch)
-    for i in range(n):
-        if state_col[i] in NON_OPERATIONAL_CODES:
-            # TAG1: drop any open candidate and restart the scan.
-            phi1 = False
-            phi2 = False
-            continue
-        low = speed_col[i] <= speed_threshold_kmh
-        if low:
-            if not phi1:
-                phi1 = True
-            elif not phi2:
-                start_idx = i - 1
-                phi2 = True
-        else:
-            if phi2:
-                finalize(start_idx, i - 1)
-            phi1 = False
-            phi2 = False
-    if phi2:
-        finalize(start_idx, n - 1)
-
-    events: List[SubTrajectory] = []
-    if kept:
-        # The one per-taxi object boundary: rows materialize only when
-        # the taxi actually produced events.
-        trajectory = Trajectory(taxi_id, batch.to_rows())
-        events = [trajectory.sub(s, e) for s, e in kept]
-    stats = PeaStats(
-        candidates=candidates,
-        kept=len(events),
-        rejected_alight=rejected_alight,
-        rejected_oncall_leave=rejected_oncall_leave,
-        rejected_no_transition=rejected_no_transition,
+    """Like :func:`extract_pickup_events` but also returns :class:`PeaStats`."""
+    records = trajectory.records
+    spans, stats = pickup_spans(
+        [r.speed for r in records],
+        [STATE_CODES[r.state] for r in records],
+        speed_threshold_kmh,
+        apply_state_filters,
     )
-    return events, stats
+    return [trajectory.sub(s, e) for s, e in spans], stats
 
 
 def extract_pickup_events_batch(
@@ -257,17 +204,23 @@ def extract_pickup_events_batch(
     """Run PEA over every taxi in a batch (columnar sibling of
     :func:`extract_all_pickup_events`).
 
-    Taxis are visited in sorted-id order, so the event list is
-    identical to the store path's.
+    Each taxi's speed and state columns go through
+    :func:`pickup_spans`; a :class:`Trajectory` is materialized only
+    for taxis that keep at least one event, so rejected candidates and
+    event-free taxis never allocate record objects.  Taxis are visited
+    in sorted-id order, so the event list is identical to the store
+    path's.
     """
     from repro.trace.partition import partition_batch_by_taxi
 
     events: List[SubTrajectory] = []
     for taxi_id, sub in partition_batch_by_taxi(batch):
-        taxi_events, _ = extract_pickup_events_from_columns(
-            taxi_id, sub, speed_threshold_kmh, apply_state_filters
+        spans, _ = pickup_spans(
+            sub.speed, sub.state, speed_threshold_kmh, apply_state_filters
         )
-        events.extend(taxi_events)
+        if spans:
+            trajectory = Trajectory(taxi_id, sub.to_rows())
+            events.extend(trajectory.sub(s, e) for s, e in spans)
     return events
 
 

@@ -27,6 +27,7 @@ from typing import Iterable, List
 from repro.core.wte import WaitEvent
 from repro.states.jobs import job_counts
 from repro.trace.log_store import MdtLogStore
+from repro.trace.trajectory import Trajectory
 
 
 @dataclass(frozen=True)
@@ -207,21 +208,31 @@ def derive_thresholds(
     )
 
 
+#: Fallback street-job ratio when there are no completed jobs to estimate
+#: one from (the paper's Central-zone Sunday value, section 6.2.1).
+DEFAULT_STREET_JOB_RATIO = 0.84
+
+
+def pooled_street_job_ratio(trajectories: Iterable[Trajectory]) -> float:
+    """Street-to-total job ratio summed over whole trajectories, or
+    :data:`DEFAULT_STREET_JOB_RATIO` when they hold no completed jobs."""
+    street_total = 0
+    all_total = 0
+    for trajectory in trajectories:
+        street, total = job_counts(trajectory.timeline())
+        street_total += street
+        all_total += total
+    if all_total == 0:
+        return DEFAULT_STREET_JOB_RATIO
+    return street_total / all_total
+
+
 def zone_street_job_ratio(store: MdtLogStore) -> float:
     """Street-to-total job ratio over a (zone-filtered) log store.
 
     Section 6.2.1 computes "the daily ratio of the total street job number
     to the total job number (street jobs + booking jobs) in different
-    zones and days of week" and uses it as ``tau_ratio``.  Returns the
-    paper's Central-zone Sunday value (0.84) as a neutral default when the
-    store contains no completed jobs.
+    zones and days of week" and uses it as ``tau_ratio``; a store with no
+    completed jobs gets :data:`DEFAULT_STREET_JOB_RATIO`.
     """
-    street_total = 0
-    all_total = 0
-    for trajectory in store.iter_trajectories():
-        street, total = job_counts(trajectory.timeline())
-        street_total += street
-        all_total += total
-    if all_total == 0:
-        return 0.84
-    return street_total / all_total
+    return pooled_street_job_ratio(store.iter_trajectories())

@@ -5,9 +5,11 @@ taxi and is fed records one at a time (per taxi, in time order).  A
 completed candidate that passes the section-4.2 state constraints is
 returned as a :class:`PickupEvent`.
 
-The state machine is the same as the batch implementation in
-:mod:`repro.core.pea`; the equivalence is pinned by property tests that
-stream random record sequences through both.
+The scan keeps Algorithm 1's flags incrementally, one record at a time;
+each candidate it closes is judged by the batch PEA's own
+:func:`~repro.core.pea.state_rejection`.  A property test streams random
+record sequences through this operator and both batch adapters and
+requires the same events.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.pea import DEFAULT_SPEED_THRESHOLD_KMH
+from repro.core.pea import DEFAULT_SPEED_THRESHOLD_KMH, state_rejection
 from repro.states.states import (
     NON_OPERATIONAL_STATES,
-    OCCUPIED_STATES,
+    STATE_CODES,
     TaxiState,
-    UNOCCUPIED_STATES,
 )
 from repro.trace.record import MdtRecord
 
@@ -118,7 +119,7 @@ class StreamingPea:
                 state.phi1 = True
         else:
             if state.candidate is not None:
-                event = self._finalize(record.taxi_id, state.candidate)
+                event = self._event(record.taxi_id, state.candidate)
             state.phi1 = False
             state.candidate = None
         state.prev = record
@@ -129,7 +130,7 @@ class StreamingPea:
         events: List[PickupEvent] = []
         for taxi_id, state in self._taxis.items():
             if state.candidate is not None:
-                event = self._finalize(taxi_id, state.candidate)
+                event = self._event(taxi_id, state.candidate)
                 if event is not None:
                     events.append(event)
             state.phi1 = False
@@ -157,16 +158,13 @@ class StreamingPea:
             scan.prev = prev
             self._taxis[taxi_id] = scan
 
-    def _finalize(
+    def _event(
         self, taxi_id: str, records: List[MdtRecord]
     ) -> Optional[PickupEvent]:
+        """The closed candidate as an event, None when a constraint
+        rejects it."""
         if self.apply_state_filters:
-            first = records[0].state
-            last = records[-1].state
-            if first in OCCUPIED_STATES and last in UNOCCUPIED_STATES:
-                return None
-            if first is TaxiState.FREE and last is TaxiState.ONCALL:
-                return None
-            if all(r.state is first for r in records):
+            codes = [STATE_CODES[r.state] for r in records]
+            if state_rejection(codes, 0, len(codes) - 1) is not None:
                 return None
         return PickupEvent(taxi_id=taxi_id, records=tuple(records))

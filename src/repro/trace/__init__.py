@@ -14,7 +14,7 @@ from repro.trace.record import (
 )
 from repro.trace.trajectory import Trajectory, SubTrajectory
 from repro.trace.log_store import MdtLogStore
-from repro.trace.cleaning import CleaningReport, clean_store, clean_records
+from repro.trace.cleaning import CleaningReport, clean_store
 
 __all__ = [
     "MdtRecord",
@@ -26,5 +26,4 @@ __all__ = [
     "MdtLogStore",
     "CleaningReport",
     "clean_store",
-    "clean_records",
 ]

@@ -12,20 +12,23 @@ all records, and removes them before analysis:
 3. *GPS coordinate errors* — points outside the city or inside inaccessible
    zones (urban-canyon multipath).
 
-:func:`clean_records` applies the three filters to one taxi's ordered
-records; :func:`clean_store` runs it store-wide and returns both the cleaned
-store and a :class:`CleaningReport` with per-class counts.
+:func:`clean_taxi` applies the three filters to one taxi's ordered field
+sequences and returns the surviving row indices.  It is the only
+implementation of the rules; the data planes reach it through short
+adapters: :func:`clean_store` passes record fields, :func:`clean_batch`
+column slices.  Both return the cleaned data and a
+:class:`CleaningReport` with per-class counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geo.bbox import BBox
-from repro.states.machine import TRANSITION_CODE_MATRIX, is_valid_transition
+from repro.states.machine import TRANSITION_CODE_MATRIX
+from repro.states.states import STATE_CODES
 from repro.trace.log_store import MdtLogStore
-from repro.trace.record import MdtRecord
 
 if TYPE_CHECKING:  # cycle-free: columnar.batch imports trace.record
     from repro.columnar import RecordBatch
@@ -65,108 +68,52 @@ class CleaningReport:
         self.malformed_line += other.malformed_line
 
 
-def _is_duplicate(a: MdtRecord, b: MdtRecord) -> bool:
-    """True when ``b`` is a GPRS re-transmission of ``a``.
-
-    Re-transmissions repeat the full payload: same timestamp, state,
-    coordinates and speed.
-    """
-    return (
-        a.ts == b.ts
-        and a.state is b.state
-        and a.lon == b.lon
-        and a.lat == b.lat
-        and a.speed == b.speed
-    )
-
-
-def clean_records(
-    records: Sequence[MdtRecord],
+def clean_taxi(
+    ts: Sequence[float],
+    lon: Sequence[float],
+    lat: Sequence[float],
+    speed: Sequence[float],
+    state: Sequence[int],
+    report: CleaningReport,
     city_bbox: Optional[BBox] = None,
-    inaccessible: Iterable[BBox] = (),
-    report: Optional[CleaningReport] = None,
-) -> List[MdtRecord]:
-    """Clean one taxi's time-ordered records.
+    inaccessible: Sequence[BBox] = (),
+) -> List[int]:
+    """The section-6.1.1 filters over one taxi's time-ordered fields.
 
-    The filters run in the order duplicates -> GPS -> state validity, so a
-    duplicated erroneous record is counted once (as a duplicate).
+    The one cleaning kernel: :func:`clean_store` (rows) and
+    :func:`clean_batch` (columns) both call it with their field
+    sequences.  ``state`` holds state codes (see
+    :data:`~repro.states.states.STATES_BY_CODE`).
+
+    A row is a duplicate — a GPRS re-transmission — when it repeats the
+    full payload (timestamp, state, coordinates, speed) of the previous
+    non-duplicate row.  The filters run in the order duplicates ->
+    state validity -> GPS, so a duplicated erroneous record is counted
+    once (as a duplicate).
 
     State validity is checked against the *state chain*, not the kept
-    records: a record removed for a GPS error still carries a genuine
-    state, so it advances the chain.  Only records removed as improper
-    states leave the chain untouched.  Without this, one GPS outlier on a
-    state-change record (say the BREAK of a power-up sequence) would make
-    every subsequent record look mis-ordered and cascade-delete the rest
-    of the taxi's day.
+    rows: a row removed for a GPS error still carries a genuine state,
+    so it advances the chain.  Only rows removed as improper states
+    leave the chain untouched.  Without this, one GPS outlier on a
+    state-change record (say the BREAK of a power-up sequence) would
+    make every subsequent record look mis-ordered and cascade-delete
+    the rest of the taxi's day.
 
     Args:
-        records: one taxi's records, time-ordered.
-        city_bbox: if given, records outside it are GPS errors.
-        inaccessible: bboxes (e.g. water bodies) whose interior points are
-            GPS errors.
-        report: optional report to accumulate counts into.
+        ts, lon, lat, speed, state: the taxi's aligned field sequences.
+        report: accumulates the per-class counts.
+        city_bbox: if given, points outside it are GPS errors.
+        inaccessible: bboxes (e.g. water bodies) whose interior points
+            are GPS errors.
 
     Returns:
-        The surviving records, still time-ordered.
+        The indices of the surviving rows, ascending.
     """
-    if report is None:
-        report = CleaningReport()
-    report.total_in += len(records)
-    inaccessible = list(inaccessible)
-
-    kept: List[MdtRecord] = []
-    prev_raw: Optional[MdtRecord] = None
-    chain_state = None  # last state not removed as improper
-    for record in records:
-        if prev_raw is not None and _is_duplicate(prev_raw, record):
-            report.duplicate += 1
-            continue
-        prev_raw = record
-
-        if chain_state is not None and not is_valid_transition(
-            chain_state, record.state
-        ):
-            report.improper_state += 1
-            continue
-        chain_state = record.state
-
-        if city_bbox is not None and not city_bbox.contains(
-            record.lon, record.lat
-        ):
-            report.gps_error += 1
-            continue
-        if any(zone.contains(record.lon, record.lat) for zone in inaccessible):
-            report.gps_error += 1
-            continue
-        kept.append(record)
-    return kept
-
-
-def clean_taxi_batch(
-    batch: RecordBatch,
-    city_bbox: Optional[BBox] = None,
-    inaccessible: Iterable[BBox] = (),
-    report: Optional[CleaningReport] = None,
-) -> RecordBatch:
-    """Columnar :func:`clean_records` for one taxi's time-ordered rows.
-
-    Same three filters, same order, same chain-state semantics, same
-    :class:`CleaningReport` accounting — but as a cursor over the
-    batch's columns building a keep mask, with no record objects.  The
-    row/column equivalence is pinned by parity tests and the
-    conformance matrix.
-    """
-    if report is None:
-        report = CleaningReport()
-    report.total_in += len(batch)
-    inaccessible = list(inaccessible)
-
-    ts, lon, lat = batch.ts, batch.lon, batch.lat
-    speed, state = batch.speed, batch.state
+    report.total_in += len(ts)
     kept: List[int] = []
-    prev = -1  # row index of the last non-duplicate record
-    chain = -1  # state code of the chain (see clean_records), -1 = none
-    for i in range(len(batch)):
+    prev = -1  # index of the last non-duplicate row
+    chain = -1  # state code of the chain, -1 = none yet
+    for i in range(len(ts)):
         if (
             prev >= 0
             and ts[i] == ts[prev]
@@ -191,9 +138,7 @@ def clean_taxi_batch(
             report.gps_error += 1
             continue
         kept.append(i)
-    if len(kept) == len(batch):
-        return batch
-    return batch.take(kept)
+    return kept
 
 
 def clean_batch(
@@ -204,13 +149,13 @@ def clean_batch(
     """Clean a whole batch (columnar sibling of :func:`clean_store`).
 
     Rows are partitioned per taxi (stable argsort, or a linear pass for
-    already-grouped batches), each taxi's columns are mask-cleaned, and
-    the survivors are re-packed grouped by taxi in sorted-id order —
-    exactly the record order :func:`clean_store`'s output store yields.
+    already-grouped batches), each taxi's column slices go through
+    :func:`clean_taxi`, and the survivors are re-packed grouped by taxi
+    in sorted-id order — exactly the record order :func:`clean_store`'s
+    output store yields.
 
     Returns:
-        ``(cleaned_batch, report)`` with counts identical to the row
-        path's for the same rows.
+        ``(cleaned_batch, report)``.
     """
     from repro.columnar import RecordBatch
     from repro.trace.partition import partition_batch_by_taxi
@@ -219,14 +164,11 @@ def clean_batch(
     inaccessible = list(inaccessible)
     parts: List[RecordBatch] = []
     for _, sub in partition_batch_by_taxi(batch):
-        parts.append(
-            clean_taxi_batch(
-                sub,
-                city_bbox=city_bbox,
-                inaccessible=inaccessible,
-                report=report,
-            )
+        kept = clean_taxi(
+            sub.ts, sub.lon, sub.lat, sub.speed, sub.state,
+            report, city_bbox, inaccessible,
         )
+        parts.append(sub if len(kept) == len(sub) else sub.take(kept))
     return RecordBatch.concat(parts), report
 
 
@@ -235,7 +177,8 @@ def clean_store(
     city_bbox: Optional[BBox] = None,
     inaccessible: Iterable[BBox] = (),
 ) -> Tuple[MdtLogStore, CleaningReport]:
-    """Clean every taxi's records in a store.
+    """Clean every taxi's records in a store (:func:`clean_taxi` on the
+    records' fields).
 
     Returns:
         ``(cleaned_store, report)`` where the report aggregates counts over
@@ -245,11 +188,16 @@ def clean_store(
     cleaned = MdtLogStore()
     inaccessible = list(inaccessible)
     for taxi_id in store.taxi_ids:
-        survivors = clean_records(
-            store.records_of(taxi_id),
-            city_bbox=city_bbox,
-            inaccessible=inaccessible,
-            report=report,
+        records = store.records_of(taxi_id)
+        kept = clean_taxi(
+            [r.ts for r in records],
+            [r.lon for r in records],
+            [r.lat for r in records],
+            [r.speed for r in records],
+            [STATE_CODES[r.state] for r in records],
+            report,
+            city_bbox,
+            inaccessible,
         )
-        cleaned.extend(survivors)
+        cleaned.extend(records[i] for i in kept)
     return cleaned, report

@@ -22,13 +22,12 @@ import numpy as np
 
 from repro.geo.bbox import BBox
 from repro.states.states import STATE_CODES, STATES_BY_CODE, TaxiState
-from repro.trace.record import MdtRecord, format_timestamp, parse_timestamp
-
-#: Stable encoding of states for the binary (.npz) format — the shared
-#: state-code table (enum declaration order), so ``.npz`` archives and
-#: :class:`~repro.columnar.RecordBatch` columns agree on the coding.
-_STATE_CODES: Dict[TaxiState, int] = dict(STATE_CODES)
-_CODE_STATES: Dict[int, TaxiState] = dict(enumerate(STATES_BY_CODE))
+from repro.trace.record import (
+    MdtRecord,
+    format_timestamp,
+    parse_csv_lines,
+    parse_timestamp,
+)
 
 
 class MdtLogStore:
@@ -199,15 +198,13 @@ class MdtLogStore:
             header = fh.readline()
             if header.strip() != MdtRecord.CSV_HEADER:
                 raise ValueError(f"unexpected CSV header: {header!r}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                try:
-                    store.append(MdtRecord.from_csv_row(line))
-                except ValueError:
-                    if on_error == "raise":
-                        raise
+            for fields in parse_csv_lines(fh, on_error):
+                if fields is None:
                     store.skipped_lines += 1
+                    continue
+                ts, taxi_id, lon, lat, speed, code = fields
+                state = STATES_BY_CODE[code]
+                store.append(MdtRecord(ts, taxi_id, lon, lat, speed, state))
         return store
 
     def to_jsonl(self, path) -> None:
@@ -299,7 +296,7 @@ class MdtLogStore:
             lon[i] = record.lon
             lat[i] = record.lat
             speed[i] = record.speed
-            state[i] = _STATE_CODES[record.state]
+            state[i] = STATE_CODES[record.state]
             taxi.append(record.taxi_id)
         return {
             "ts": ts,
@@ -333,7 +330,7 @@ class MdtLogStore:
                     lon=float(lon[i]),
                     lat=float(lat[i]),
                     speed=float(speed[i]),
-                    state=_CODE_STATES[int(state[i])],
+                    state=STATES_BY_CODE[int(state[i])],
                 )
             )
         return store

@@ -16,9 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import isfinite
-from typing import Sequence
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from repro.states.states import TaxiState, parse_state
+from repro.states.states import (
+    STATE_CODES,
+    STATES_BY_CODE,
+    TaxiState,
+    parse_state,
+)
 
 #: The timestamp format used in the paper's sample log line.
 TIMESTAMP_FORMAT = "%d/%m/%Y %H:%M:%S"
@@ -82,30 +87,13 @@ class MdtRecord:
         """Parse one CSV line produced by :meth:`to_csv_row`.
 
         Raises:
-            ValueError: on a malformed line (wrong arity, bad timestamp,
-                unknown state, non-numeric or non-finite coordinates and
-                speeds — a NaN longitude would otherwise poison every
-                distance computation downstream).
+            ValueError: on a malformed line (see :func:`parse_csv_lines`).
         """
-        parts = row.rstrip("\n").split(",")
-        if len(parts) != 6:
-            raise ValueError(f"expected 6 fields, got {len(parts)}: {row!r}")
-        ts_text, taxi_id, lon_text, lat_text, speed_text, state = parts
-        lon = float(lon_text)
-        lat = float(lat_text)
-        speed = float(speed_text)
-        if not (isfinite(lon) and isfinite(lat) and isfinite(speed)):
-            raise ValueError(f"non-finite coordinate or speed: {row!r}")
-        if not taxi_id:
-            raise ValueError(f"empty taxi id: {row!r}")
-        return cls(
-            ts=parse_timestamp(ts_text),
-            taxi_id=taxi_id,
-            lon=lon,
-            lat=lat,
-            speed=speed,
-            state=parse_state(state),
-        )
+        fields = next(parse_csv_lines((row,)), None)
+        if fields is None:
+            raise ValueError(f"empty CSV line: {row!r}")
+        ts, taxi_id, lon, lat, speed, code = fields
+        return cls(ts, taxi_id, lon, lat, speed, STATES_BY_CODE[code])
 
     @classmethod
     def from_fields(cls, fields: Sequence[str]) -> "MdtRecord":
@@ -115,3 +103,60 @@ class MdtRecord:
     def replace_ts(self, ts: float) -> "MdtRecord":
         """Copy with a different timestamp (used by the noise injector)."""
         return MdtRecord(ts, self.taxi_id, self.lon, self.lat, self.speed, self.state)
+
+
+def parse_csv_lines(
+    lines: Iterable[str], on_error: str = "raise"
+) -> Iterator[Optional[Tuple[float, str, float, float, float, int]]]:
+    """Parse log CSV lines (no header) into
+    ``(ts, taxi_id, lon, lat, speed, state_code)`` tuples.
+
+    The one line parser behind every CSV reader.  Blank lines are
+    skipped.  A line is malformed on wrong arity, an empty taxi id,
+    non-numeric or non-finite coordinates and speeds (a NaN longitude
+    would poison every distance computation downstream), a bad or
+    non-finite timestamp, or an unknown state.  Repeated timestamp and
+    state texts hit memo caches that live as long as the iteration, so
+    ``strptime`` runs once per distinct text.
+
+    Args:
+        lines: the CSV lines.
+        on_error: ``"raise"`` raises on the first malformed line;
+            ``"skip"`` yields None in its place.
+
+    Raises:
+        ValueError: on a malformed line in raise mode.
+    """
+    ts_cache: Dict[str, float] = {}
+    state_cache: Dict[str, int] = {}
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != 6:
+                raise ValueError(
+                    f"expected 6 fields, got {len(parts)}: {line!r}"
+                )
+            ts_text, taxi_id, lon_text, lat_text, speed_text, state = parts
+            lon = float(lon_text)
+            lat = float(lat_text)
+            speed = float(speed_text)
+            if not (isfinite(lon) and isfinite(lat) and isfinite(speed)):
+                raise ValueError(f"non-finite coordinate or speed: {line!r}")
+            if not taxi_id:
+                raise ValueError(f"empty taxi id: {line!r}")
+            ts = ts_cache.get(ts_text)
+            if ts is None:
+                ts = parse_timestamp(ts_text)
+                ts_cache[ts_text] = ts
+            code = state_cache.get(state)
+            if code is None:
+                code = STATE_CODES[parse_state(state)]
+                state_cache[state] = code
+        except ValueError:
+            if on_error == "raise":
+                raise
+            yield None
+            continue
+        yield (ts, taxi_id, lon, lat, speed, code)

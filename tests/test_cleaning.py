@@ -4,7 +4,7 @@ import pytest
 
 from repro.geo.bbox import BBox
 from repro.states.states import TaxiState
-from repro.trace.cleaning import CleaningReport, clean_records, clean_store
+from repro.trace.cleaning import CleaningReport, clean_store
 from repro.trace.log_store import MdtLogStore
 from repro.trace.record import MdtRecord
 
@@ -16,28 +16,37 @@ def rec(ts, state=TaxiState.FREE, lon=103.8, lat=1.33, speed=0.0, taxi="A"):
     return MdtRecord(ts, taxi, lon, lat, speed, state)
 
 
+def clean(records, report=None, **bounds):
+    """:func:`clean_store` over one taxi's records: the survivors, with
+    the counts accumulated into ``report``."""
+    cleaned, counts = clean_store(MdtLogStore(records), **bounds)
+    if report is not None:
+        report.merge(counts)
+    return list(cleaned.iter_records())
+
+
 class TestDuplicates:
     def test_exact_retransmission_removed(self):
         a = rec(10.0, TaxiState.POB)
-        survivors = clean_records([a, a, rec(20.0, TaxiState.PAYMENT)])
+        survivors = clean([a, a, rec(20.0, TaxiState.PAYMENT)])
         assert len(survivors) == 2
 
     def test_same_ts_different_state_kept(self):
         # An event-driven logger may emit two records at the same second.
-        out = clean_records([rec(10.0, TaxiState.FREE), rec(10.0, TaxiState.POB)])
+        out = clean([rec(10.0, TaxiState.FREE), rec(10.0, TaxiState.POB)])
         assert len(out) == 2
 
     def test_duplicate_counted_once(self):
         a = rec(10.0)
         report = CleaningReport()
-        clean_records([a, a, a], report=report)
+        clean([a, a, a], report=report)
         assert report.duplicate == 2
 
 
 class TestGpsErrors:
     def test_outside_city_removed(self):
         report = CleaningReport()
-        out = clean_records(
+        out = clean(
             [rec(0.0), rec(10.0, lon=120.0)], city_bbox=CITY, report=report
         )
         assert len(out) == 1
@@ -45,7 +54,7 @@ class TestGpsErrors:
 
     def test_water_point_removed(self):
         report = CleaningReport()
-        out = clean_records(
+        out = clean(
             [rec(0.0), rec(10.0, lon=103.65, lat=1.25)],
             city_bbox=CITY,
             inaccessible=WATER,
@@ -55,7 +64,7 @@ class TestGpsErrors:
         assert report.gps_error == 1
 
     def test_no_bbox_means_no_gps_filter(self):
-        out = clean_records([rec(0.0, lon=200.0)])
+        out = clean([rec(0.0, lon=200.0)])
         assert len(out) == 1
 
 
@@ -70,7 +79,7 @@ class TestImproperStates:
             rec(60.0, TaxiState.FREE),
         ]
         report = CleaningReport()
-        out = clean_records(records, report=report)
+        out = clean(records, report=report)
         assert report.improper_state == 1
         states = [r.state for r in out]
         assert states == [
@@ -91,7 +100,7 @@ class TestImproperStates:
             rec(100.0, TaxiState.POB),
         ]
         report = CleaningReport()
-        out = clean_records(records, city_bbox=CITY, report=report)
+        out = clean(records, city_bbox=CITY, report=report)
         assert report.gps_error == 1
         assert report.improper_state == 0
         assert [r.state for r in out] == [
@@ -110,7 +119,7 @@ class TestImproperStates:
             rec(40.0, TaxiState.FREE),
         ]
         report = CleaningReport()
-        out = clean_records(records, city_bbox=CITY, report=report)
+        out = clean(records, city_bbox=CITY, report=report)
         assert len(out) == 5
         assert report.total_removed == 0
 
@@ -123,8 +132,8 @@ class TestImproperStates:
             rec(60.0, TaxiState.FREE),
             rec(70.0, TaxiState.FREE, lon=150.0),
         ]
-        once = clean_records(records, city_bbox=CITY)
-        twice = clean_records(once, city_bbox=CITY)
+        once = clean(records, city_bbox=CITY)
+        twice = clean(once, city_bbox=CITY)
         assert once == twice
 
 

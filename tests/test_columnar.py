@@ -6,8 +6,9 @@ Three layers of guarantees:
    ``RecordBatch.from_rows(rows).to_rows() == rows`` bit-for-bit
    (``array('d')`` stores exact IEEE doubles), plus pickle and store
    adapters round-tripping.
-2. **Row/column parity** — cleaning and PEA over columns produce the
-   same records, events and accounting as the historical row path.
+2. **Row/column parity** — the cleaning and PEA kernels reached
+   through the column adapters produce the same records, events and
+   accounting as through the row adapters.
 3. **Conformance pin** — the engine's columnar tier 1 is compared
    byte-for-byte against the pre-refactor row path
    (``clean_store`` + ``detect_queue_spots``) on the golden day.
@@ -25,21 +26,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import RecordBatch
+from repro.geo.bbox import BBox
 from repro.core.pea import (
     extract_all_pickup_events,
     extract_pickup_events_batch,
-    extract_pickup_events_from_columns,
     extract_pickup_events_with_stats,
+    pickup_spans,
 )
 from repro.core.spots import detect_queue_spots
 from repro.states.states import STATES_BY_CODE, TaxiState
-from repro.trace.cleaning import (
-    CleaningReport,
-    clean_batch,
-    clean_records,
-    clean_store,
-    clean_taxi_batch,
-)
+from repro.trace.cleaning import clean_batch, clean_store
 from repro.trace.log_store import MdtLogStore
 from repro.trace.partition import partition_batch_by_taxi
 from repro.trace.record import MdtRecord, parse_timestamp
@@ -61,6 +57,24 @@ _records = st.builds(
     lat=_finite,
     speed=_finite,
     state=st.sampled_from(list(TaxiState)),
+)
+
+
+#: Cleaning inputs: a city, a water body inside it, and points in the
+#: city, in the water and outside the city.
+_CITY = BBox(103.6, 1.24, 104.0, 1.47)
+_WATER = [BBox(103.60, 1.24, 103.70, 1.26)]
+_POINTS = [(103.8, 1.33), (103.65, 1.25), (120.0, 1.33), (103.8, 1.5)]
+
+#: One taxi step: seconds since its previous record (0 repeats the
+#: timestamp), state (any, so illegal transitions occur), point, speed,
+#: and whether to re-transmit the previous record instead.
+_clean_step = st.tuples(
+    st.integers(min_value=0, max_value=30),
+    st.sampled_from(list(TaxiState)),
+    st.sampled_from(_POINTS),
+    st.sampled_from([0.0, 5.0, 40.0]),
+    st.booleans(),
 )
 
 
@@ -186,16 +200,45 @@ class TestParity:
         assert col_cleaned.to_rows() == list(row_cleaned.iter_records())
         assert col_report == row_report
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["A", "B", "C"]),
+            st.lists(_clean_step, max_size=30),
+        ),
+        st.randoms(),
+    )
+    def test_clean_parity_on_random_taxis(self, steps, rnd):
+        per_taxi = []
+        for taxi, taxi_steps in steps.items():
+            records, ts = [], 0.0
+            for dt, state, (lon, lat), speed, resend in taxi_steps:
+                if resend and records:
+                    records.append(records[-1])
+                    continue
+                ts += dt
+                records.append(MdtRecord(ts, taxi, lon, lat, speed, state))
+            per_taxi.append(records)
+        # Interleave the taxis at random, each one's records in order.
+        rows = []
+        while any(per_taxi):
+            rows.append(rnd.choice([r for r in per_taxi if r]).pop(0))
+
+        row_cleaned, row_report = clean_store(
+            MdtLogStore(rows), city_bbox=_CITY, inaccessible=_WATER
+        )
+        col_cleaned, col_report = clean_batch(
+            RecordBatch.from_rows(rows), city_bbox=_CITY, inaccessible=_WATER
+        )
+        assert col_cleaned.to_rows() == list(row_cleaned.iter_records())
+        assert col_report == row_report
+
     def test_per_taxi_clean_parity(self, golden_store):
         for taxi_id in golden_store.taxi_ids:
             records = golden_store.records_of(taxi_id)
-            row_report = CleaningReport()
-            col_report = CleaningReport()
-            survivors = clean_records(records, report=row_report)
-            cleaned = clean_taxi_batch(
-                RecordBatch.from_rows(records), report=col_report
-            )
-            assert cleaned.to_rows() == survivors
+            survivors, row_report = clean_store(MdtLogStore(records))
+            cleaned, col_report = clean_batch(RecordBatch.from_rows(records))
+            assert cleaned.to_rows() == list(survivors.iter_records())
             assert col_report == row_report
 
     def test_pea_parity_on_golden_day(self, golden_store):
@@ -215,10 +258,9 @@ class TestParity:
             row_events, row_stats = extract_pickup_events_with_stats(
                 trajectory
             )
-            col_events, col_stats = extract_pickup_events_from_columns(
-                trajectory.taxi_id,
-                RecordBatch.from_rows(trajectory.records),
-            )
+            batch = RecordBatch.from_rows(trajectory.records)
+            _, col_stats = pickup_spans(batch.speed, batch.state)
+            col_events = extract_pickup_events_batch(batch)
             assert col_stats == row_stats
             assert [list(e) for e in col_events] == [
                 list(e) for e in row_events

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.features import AmplificationPolicy
-from repro.core.pea import extract_pickup_events
+from repro.columnar import RecordBatch
+from repro.core.pea import (
+    extract_pickup_events_batch,
+    extract_pickup_events_with_stats,
+    pickup_spans,
+)
 from repro.core.qcd import label_slot
 from repro.core.thresholds import QcdThresholds
 from repro.core.types import QueueSpot, QueueType, TimeSlotGrid
@@ -78,13 +83,19 @@ class TestStreamingPea:
     @settings(max_examples=60, deadline=None)
     def test_equivalent_to_batch_pea(self, pairs):
         records = recs(*pairs) if pairs else []
-        batch = extract_pickup_events(Trajectory("A", records))
+        rows, row_stats = extract_pickup_events_with_stats(
+            Trajectory("A", records)
+        )
+        columns = RecordBatch.from_rows(records)
+        cols = extract_pickup_events_batch(columns)
+        _, col_stats = pickup_spans(columns.speed, columns.state)
         pea = StreamingPea()
         streamed = [e for e in (pea.feed(r) for r in records) if e]
         streamed.extend(pea.flush())
-        assert len(streamed) == len(batch)
-        for b, s in zip(batch, streamed):
-            assert list(b) == list(s.records)
+        assert col_stats == row_stats
+        assert len(rows) == len(cols) == len(streamed) == row_stats.kept
+        for r, c, s in zip(rows, cols, streamed):
+            assert list(r) == list(c) == list(s.records)
 
     def test_pickup_event_duck_type(self):
         pea = StreamingPea()
